@@ -213,58 +213,132 @@ func TestBufferFIFOProperty(t *testing.T) {
 
 // Property: the cached reclaim watermark always equals a fresh scan of
 // the reader pointers, across random attach/pop/skip/push interleavings.
+// A buffer recycled with Reset after a random history of its own runs the
+// same operations in lockstep and must behave exactly like the fresh one:
+// same admissions, same popped values, same levels, counters and energy.
 func TestBufferWatermarkInvariant(t *testing.T) {
-	f := func(ops []uint8, capRaw uint8) bool {
+	f := func(ops, history []uint8, capRaw uint8) bool {
 		capElems := 2 + int(capRaw%16)
-		b, err := NewBuffer(capElems, nil)
-		if err != nil {
-			return false
+		fresh := newDriven(capElems, energy.NewMeter(energy.Default32nm()))
+		old := energy.NewMeter(energy.Default32nm())
+		recycled := newDriven(capElems, old)
+		for _, op := range history {
+			recycled.apply(op)
 		}
-		scan := func() int64 {
-			if len(b.readers) == 0 {
-				return 0
-			}
-			m := b.readers[0]
-			for _, r := range b.readers[1:] {
-				if r < m {
-					m = r
-				}
-			}
-			return m
+		if len(history)%3 == 0 {
+			recycled.b.Close()
 		}
-		readers := []int{b.AttachReader(0)}
-		var next int64
-		for _, op := range ops {
-			switch op % 4 {
-			case 0:
-				if b.CanPush() {
-					b.Push(float64(next))
-					next++
-				}
-			case 1:
-				r := readers[int(op/4)%len(readers)]
-				if b.CanPop(r) {
-					b.Pop(r)
-				}
-			case 2:
-				r := readers[int(op/4)%len(readers)]
-				if n := b.Level(r) / 2; n > 0 {
-					b.Skip(r, n)
-				}
-			case 3:
-				if len(readers) < 4 {
-					readers = append(readers, b.AttachReader(scan()))
+		oldPJ := old.Get(energy.CatBuffer)
+		recycled.b.Reset(energy.NewMeter(energy.Default32nm()))
+		recycled.readers, recycled.next = nil, 0
+		recycled.attach(0)
+		for i, op := range ops {
+			if fresh.apply(op) != recycled.apply(op) {
+				return false
+			}
+			for _, d := range []*driven{fresh, recycled} {
+				if d.b.minSeq != d.scan() {
+					return false
 				}
 			}
-			if b.minSeq != scan() {
+			if i == len(ops)-1 {
+				fresh.b.Close()
+				recycled.b.Close()
+			}
+			if fresh.observe() != recycled.observe() {
 				return false
 			}
 		}
-		return true
+		return old.Get(energy.CatBuffer) == oldPJ // the old meter sees nothing after Reset
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// driven is a buffer under a random operation sequence, with its readers.
+type driven struct {
+	b       *Buffer
+	readers []int
+	next    int64 // value of the next push
+}
+
+func newDriven(capElems int, m *energy.Meter) *driven {
+	b, err := NewBuffer(capElems, m)
+	if err != nil {
+		panic(err)
+	}
+	d := &driven{b: b}
+	d.attach(0)
+	return d
+}
+
+func (d *driven) attach(seq int64) { d.readers = append(d.readers, d.b.AttachReader(seq)) }
+
+// scan is the watermark recomputed by a full pass over the readers.
+func (d *driven) scan() int64 {
+	if len(d.b.readers) == 0 {
+		return 0
+	}
+	m := d.b.readers[0]
+	for _, r := range d.b.readers[1:] {
+		if r < m {
+			m = r
+		}
+	}
+	return m
+}
+
+// apply performs one push, pop, skip or attach, returning what it saw (the
+// popped value, or -1).
+func (d *driven) apply(op uint8) float64 {
+	switch op % 4 {
+	case 0:
+		if d.b.CanPush() {
+			d.b.Push(float64(d.next))
+			d.next++
+		}
+	case 1:
+		r := d.readers[int(op/4)%len(d.readers)]
+		if d.b.CanPop(r) {
+			return d.b.Pop(r)
+		}
+	case 2:
+		r := d.readers[int(op/4)%len(d.readers)]
+		if n := d.b.Level(r) / 2; n > 0 {
+			d.b.Skip(r, n)
+		}
+	case 3:
+		if len(d.readers) < 4 {
+			d.attach(d.scan())
+		}
+	}
+	return -1
+}
+
+// bufState is the buffer's externally observable state.
+type bufState struct {
+	canPush, closed       bool
+	occupancy, pushes     int64
+	pops                  int64
+	levels, drained       [4]int64
+	energy                float64
+	readerCount, capacity int
+}
+
+func (d *driven) observe() bufState {
+	s := bufState{
+		canPush: d.b.CanPush(), closed: d.b.Closed(), occupancy: d.b.Occupancy(),
+		pushes: d.b.Pushes, pops: d.b.Pops, energy: d.b.meter.Get(energy.CatBuffer),
+		readerCount: len(d.readers), capacity: d.b.Cap(),
+	}
+	for i, r := range d.readers {
+		s.levels[i] = d.b.Level(r)
+		if d.b.Drained(r) {
+			s.drained[i] = 1
+		}
+	}
+	return s
 }
 
 func TestStreamInDeliversInOrder(t *testing.T) {

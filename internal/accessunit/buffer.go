@@ -47,6 +47,15 @@ func NewBuffer(capElems int, m *energy.Meter) (*Buffer, error) {
 	return &Buffer{cap: capElems, data: make([]float64, capElems), meter: m}, nil
 }
 
+// Reset empties the buffer for reuse, metering into m from now on:
+// afterwards it behaves exactly like NewBuffer(b.Cap(), m), but keeps its
+// storage. Readers, pointers, counters and Occ are cleared; stale element
+// values stay in the storage but are never read, since a reader only pops
+// sequences written after the reset.
+func (b *Buffer) Reset(m *energy.Meter) {
+	*b = Buffer{cap: b.cap, data: b.data, readers: b.readers[:0], meter: m}
+}
+
 // Cap returns the capacity in elements.
 func (b *Buffer) Cap() int { return b.cap }
 

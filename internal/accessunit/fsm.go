@@ -41,11 +41,12 @@ type Fetcher interface {
 	LineBytes() int
 }
 
-// pendingLine is one in-flight line fetch: values already read functionally,
-// delivered into the buffer at arrival time in issue order.
+// pendingLine is one in-flight line fetch: values already read functionally
+// into its slot of the fill FSM's slot store, delivered into the buffer at
+// arrival time in issue order. The undelivered values are slots[next:end].
 type pendingLine struct {
-	arrival int64
-	vals    []float64
+	arrival   int64
+	next, end int
 }
 
 // maxInflight is the access unit's outstanding line-fetch capacity (its
@@ -68,12 +69,20 @@ type StreamIn struct {
 	start, stride, length int64 // elements
 	elemBytes             int64
 
-	issued   int64 // elements whose fetch was issued
-	pending  []pendingLine
-	lastLine int64
-	closed   bool
-	stats    *Stats
-	meter    *energy.Meter
+	issued int64 // elements whose fetch was issued
+	// pending is a ring of the in-flight line fetches, oldest at phead.
+	// Ring entry i owns slot i of the slot store (lineElems values each).
+	// Slots recycle round-robin: lines retire in issue order and at most
+	// maxInflight are pending, so the slot a new line takes is always free.
+	pending      [maxInflight]pendingLine
+	phead, npend int
+	slots        []float64
+	lineElems    int
+	pendElems    int64 // undelivered values across pending lines
+	lastLine     int64
+	closed       bool
+	stats        *Stats
+	meter        *energy.Meter
 
 	// Trace, when enabled, records one span per issued line fetch and an
 	// instant at end-of-stream close. Set after construction (the zero value
@@ -94,9 +103,14 @@ func NewStreamIn(buf *Buffer, mem Memory, fetch Fetcher, cluster int, obj string
 	if stride == 0 && length > 1 {
 		return nil, fmt.Errorf("accessunit: zero stride stream of length %d on %q", length, obj)
 	}
+	// One fetch never crosses a line, and the elements it carries sit at
+	// least elemBytes apart, so a line holds at most ceil(line/elem) of them.
+	lineBytes := fetch.LineBytes()
+	lineElems := (lineBytes + eb - 1) / eb
 	return &StreamIn{
 		buf: buf, mem: mem, fetch: fetch, cluster: cluster, obj: obj,
 		start: start, stride: stride, length: length, elemBytes: int64(eb),
+		slots: make([]float64, maxInflight*lineElems), lineElems: lineElems,
 		lastLine: -1, stats: stats, meter: meter,
 	}, nil
 }
@@ -109,36 +123,39 @@ func (f *StreamIn) Step(now int64) bool {
 	progress := false
 	// Deliver arrived lines in issue order.
 	pushed := 0
-	for len(f.pending) > 0 && f.pending[0].arrival <= now && pushed < pushesPerCycle {
-		head := &f.pending[0]
-		for len(head.vals) > 0 && f.buf.CanPush() && pushed < pushesPerCycle {
-			f.buf.Push(head.vals[0])
-			head.vals = head.vals[1:]
+	for f.npend > 0 && f.pending[f.phead].arrival <= now && pushed < pushesPerCycle {
+		head := &f.pending[f.phead]
+		for head.next < head.end && f.buf.CanPush() && pushed < pushesPerCycle {
+			f.buf.Push(f.slots[head.next])
+			head.next++
+			f.pendElems--
 			pushed++
 			progress = true
 		}
-		if len(head.vals) == 0 {
-			f.pending = f.pending[1:]
-		} else {
+		if head.next < head.end {
 			break
 		}
+		f.phead = (f.phead + 1) % maxInflight
+		f.npend--
 	}
 	// Anything still in flight counts as progress (a timer is running).
-	if len(f.pending) > 0 && f.pending[0].arrival > now {
+	if f.npend > 0 && f.pending[f.phead].arrival > now {
 		progress = true
 	}
 	// Issue the next line fetch when there is buffer headroom.
-	if f.issued < f.length && len(f.pending) < maxInflight && f.headroom() > 0 {
+	if f.issued < f.length && f.npend < maxInflight && f.headroom() > 0 {
 		if f.issueLine(now) {
 			progress = true
 		}
 	}
 	// Close at end of stream.
-	if !f.closed && f.issued >= f.length && len(f.pending) == 0 {
+	if !f.closed && f.issued >= f.length && f.npend == 0 {
 		f.buf.Close()
 		f.closed = true
 		progress = true
-		f.Trace.Instant("close", now, trace.KV{K: "obj", V: f.obj}, trace.KV{K: "elems", V: f.issued})
+		if f.Trace.Enabled() {
+			f.Trace.Instant("close", now, trace.KV{K: "obj", V: f.obj}, trace.KV{K: "elems", V: f.issued})
+		}
 	}
 	return progress
 }
@@ -151,17 +168,17 @@ func (f *StreamIn) NextEvent(now int64) int64 {
 	if f.closed {
 		return 0
 	}
-	if len(f.pending) > 0 && f.pending[0].arrival <= now && f.buf.CanPush() {
+	if f.npend > 0 && f.pending[f.phead].arrival <= now && f.buf.CanPush() {
 		return 0 // arrived line, buffer space: deliver now
 	}
-	if f.issued < f.length && len(f.pending) < maxInflight && f.headroom() > 0 {
+	if f.issued < f.length && f.npend < maxInflight && f.headroom() > 0 {
 		return 0 // can issue the next line fetch now
 	}
-	if f.issued >= f.length && len(f.pending) == 0 {
+	if f.issued >= f.length && f.npend == 0 {
 		return 0 // end of stream: close now
 	}
-	if len(f.pending) > 0 && f.pending[0].arrival > now {
-		return f.pending[0].arrival // line in flight
+	if f.npend > 0 && f.pending[f.phead].arrival > now {
+		return f.pending[f.phead].arrival // line in flight
 	}
 	return engine.Never // full buffer: blocked on the consumer
 }
@@ -169,26 +186,18 @@ func (f *StreamIn) NextEvent(now int64) int64 {
 // headroom estimates free buffer space beyond in-flight elements so the
 // fill FSM throttles on back-pressure (§V-B).
 func (f *StreamIn) headroom() int64 {
-	inflight := int64(0)
-	for _, p := range f.pending {
-		inflight += int64(len(p.vals))
-	}
-	return int64(f.buf.Cap()) - f.buf.Occupancy() - inflight
+	return int64(f.buf.Cap()) - f.buf.Occupancy() - f.pendElems
 }
 
-// issueLine reads the next run of elements sharing one cache line and
-// issues its fetch. Elements whose line was just fetched are intra-buffer
-// reuse; new lines cost a D-A line transfer.
+// issueLine reads the next run of elements sharing one cache line into
+// the next free slot and issues its fetch. Elements whose line was just
+// fetched are intra-buffer reuse; new lines cost a D-A line transfer. The
+// caller guarantees a free ring entry (npend < maxInflight).
 func (f *StreamIn) issueLine(now int64) bool {
 	lineBytes := int64(f.fetch.LineBytes())
-	// Pre-size for the most elements one line can carry: the append loop
-	// below never crosses a line, so this avoids the grow-and-copy churn a
-	// nil slice pays per issued line (profile-visible across the repro).
-	capElems := lineBytes / f.elemBytes
-	if capElems < 1 {
-		capElems = 1
-	}
-	vals := make([]float64, 0, capElems)
+	slot := (f.phead + f.npend) % maxInflight
+	lo := slot * f.lineElems
+	vals := f.slots[lo : lo : lo+f.lineElems] // append never reallocates: see lineElems
 	var issueLat int
 	newLine := false
 	for f.issued < f.length {
@@ -206,7 +215,9 @@ func (f *StreamIn) issueLine(now int64) bool {
 			f.stats.DABytes += lineBytes
 			f.lastLine = line
 			newLine = true
-			f.Trace.Span("fill", now, int64(issueLat), trace.KV{K: "obj", V: f.obj})
+			if f.Trace.Enabled() {
+				f.Trace.Span("fill", now, int64(issueLat), trace.KV{K: "obj", V: f.obj})
+			}
 			f.LatHist.Observe(float64(issueLat))
 		} else if len(vals) == 0 && !newLine {
 			// Element served from the already-fetched line: pure reuse
@@ -216,6 +227,9 @@ func (f *StreamIn) issueLine(now int64) bool {
 		v, err := f.mem.Read(f.obj, idx)
 		if err != nil {
 			panic(fmt.Sprintf("accessunit: stream %q: %v", f.obj, err))
+		}
+		if len(vals) == f.lineElems {
+			panic(fmt.Sprintf("accessunit: stream %q: more than %d elements on one line", f.obj, f.lineElems))
 		}
 		vals = append(vals, v)
 		f.issued++
@@ -229,7 +243,9 @@ func (f *StreamIn) issueLine(now int64) bool {
 	if f.meter != nil {
 		f.meter.Add(energy.CatAccel, f.meter.Table.TranslatePJ)
 	}
-	f.pending = append(f.pending, pendingLine{arrival: now + int64(issueLat), vals: vals})
+	f.pending[slot] = pendingLine{arrival: now + int64(issueLat), next: lo, end: lo + len(vals)}
+	f.npend++
+	f.pendElems += int64(len(vals))
 	return true
 }
 
@@ -288,7 +304,9 @@ func (f *StreamOut) Step(now int64) bool {
 	}
 	if f.buf.Drained(f.reader) {
 		f.closed = true
-		f.Trace.Instant("close", now, trace.KV{K: "obj", V: f.obj}, trace.KV{K: "elems", V: f.drained})
+		if f.Trace.Enabled() {
+			f.Trace.Instant("close", now, trace.KV{K: "obj", V: f.obj}, trace.KV{K: "elems", V: f.drained})
+		}
 		return true
 	}
 	if !f.buf.CanPop(f.reader) {
@@ -314,7 +332,9 @@ func (f *StreamOut) Step(now int64) bool {
 		if f.meter != nil {
 			f.meter.Add(energy.CatAccel, f.meter.Table.TranslatePJ)
 		}
-		f.Trace.Span("drain", now, f.busyUntil-now, trace.KV{K: "obj", V: f.obj})
+		if f.Trace.Enabled() {
+			f.Trace.Span("drain", now, f.busyUntil-now, trace.KV{K: "obj", V: f.obj})
+		}
 		f.LatHist.Observe(float64(lat))
 	}
 	f.drained++

@@ -2,6 +2,7 @@ package accessunit
 
 import (
 	"distda/internal/engine"
+	"distda/internal/fifo"
 	"distda/internal/noc"
 )
 
@@ -52,26 +53,27 @@ type WireRecv interface {
 	Pop()
 }
 
-// LocalWire joins two link halves registered in the same engine: a plain
-// FIFO the receiver drains by timestamp. It is the serial (and
-// intra-shard) wire.
+// LocalWire joins two link halves registered in the same engine: a FIFO
+// the receiver drains by timestamp. It is the serial (and intra-shard)
+// wire. Its ring is bounded by the link's credits (elements in flight)
+// and credit batches, so it stops allocating after the first few messages.
 type LocalWire struct {
-	q []LinkMsg
+	q fifo.Queue[LinkMsg]
 }
 
 // Send appends a message.
-func (w *LocalWire) Send(m LinkMsg) { w.q = append(w.q, m) }
+func (w *LocalWire) Send(m LinkMsg) { w.q.Push(m) }
 
 // Head returns the earliest message, if any.
 func (w *LocalWire) Head() (LinkMsg, bool) {
-	if len(w.q) == 0 {
+	if w.q.Len() == 0 {
 		return LinkMsg{}, false
 	}
-	return w.q[0], true
+	return *w.q.Front(), true
 }
 
 // Pop consumes the head message.
-func (w *LocalWire) Pop() { w.q = w.q[1:] }
+func (w *LocalWire) Pop() { w.q.Pop() }
 
 // linkCredits bounds elements in flight per channel: the sender's initial
 // credit grant (clamped to the consumer buffer's capacity). Large enough

@@ -2,8 +2,9 @@
 // accelerator backend must pass: it drives a synthetic copy kernel through
 // the decoupled request/response ports and checks the valid/ready handshake
 // end to end — consume only on valid data, produce only into ready slots,
-// back-pressure propagation, width limits, both orchestration modes, and
-// the scalar register file. Each backend package runs it from its own test:
+// back-pressure propagation, width limits, both orchestration modes, the
+// scalar register file, and an allocation-free steady state. Each backend
+// package runs it from its own test:
 //
 //	backendtest.Conformance(t, "iocore")
 //	backendtest.Conformance(t, "cgra", backend.Opt("grid", "5x5"))
@@ -18,6 +19,7 @@ import (
 	"distda/internal/energy"
 	"distda/internal/engine"
 	"distda/internal/ir"
+	"distda/internal/memfake"
 	"distda/internal/microcode"
 )
 
@@ -43,6 +45,32 @@ func copyDef(n int64, whileInput bool) *core.AccelDef {
 		},
 		Program: microcode.Program{cons, prod},
 		Trip:    trip,
+	}
+}
+
+// sumDef builds a kernel whose every iteration takes a random access:
+// consume A[i] from access 0, load X[i], produce their sum to access 1.
+func sumDef(n int64) *core.AccelDef {
+	cons := microcode.NewOp(microcode.Consume)
+	cons.Dst, cons.Access = 1, 0
+	it := microcode.NewOp(microcode.Iter)
+	it.Dst = 3
+	ld := microcode.NewOp(microcode.LoadObj)
+	ld.Dst, ld.A, ld.Obj = 4, 3, "X"
+	add := microcode.NewOp(microcode.ALU)
+	add.Dst, add.A, add.B, add.Bin = 5, 1, 4, ir.Add
+	prod := microcode.NewOp(microcode.Produce)
+	prod.A, prod.Access = 5, 1
+	return &core.AccelDef{
+		ID: 0, Name: "sum",
+		Accesses: []core.AccessDecl{
+			{ID: 0, Kind: core.StreamIn, Obj: "in", ElemBytes: 8,
+				Start: ir.C(0), Stride: ir.C(1), Length: ir.C(float64(n))},
+			{ID: 1, Kind: core.StreamOut, Obj: "out", ElemBytes: 8,
+				Start: ir.C(0), Stride: ir.C(1), Length: ir.C(float64(n))},
+		},
+		Program: microcode.Program{cons, it, ld, add, prod},
+		Trip:    core.TripSpec{Kind: core.TripCounted, Count: ir.C(float64(n))},
 	}
 }
 
@@ -258,6 +286,62 @@ func Conformance(t *testing.T, name string, opts ...backend.Option) {
 		f.eng.SetReg(7, 3.5)
 		if got := f.eng.Reg(7); got != 3.5 {
 			t.Fatalf("Reg(7) = %g after SetReg(7, 3.5)", got)
+		}
+	})
+
+	t.Run("steady-state-allocs", func(t *testing.T) {
+		// With tracing off, an engine iterating in steady state allocates
+		// nothing: any allocation here is paid once per simulated
+		// iteration. Each iteration stalls on a random load (the fetch
+		// latency spans several engine cycles), so the stall paths are
+		// covered too.
+		if !caps.RandomAccess {
+			t.Skip("backend serves no random accesses")
+		}
+		const n = 1 << 15
+		mem := memfake.New(8, map[string][]float64{"X": make([]float64, n)})
+		fetch := &memfake.Fetch{Lat: 60}
+		inBuf, _ := accessunit.NewBuffer(16, nil)
+		outBuf, _ := accessunit.NewBuffer(16, nil)
+		out := outBuf.AttachReader(0)
+		e, err := be.NewEngine(backend.LaunchSpec{
+			Def: sumDef(n), Trips: n,
+			In:     map[int]*accessunit.InPort{0: accessunit.NewInPort(inBuf, 0)},
+			Out:    map[int]*accessunit.OutPort{1: {Buf: outBuf}},
+			Random: accessunit.NewRandomPort(mem, fetch, 0, &accessunit.Stats{}, nil),
+			GHz:    1, Width: 1, Opts: o,
+		})
+		if err != nil {
+			t.Fatalf("NewEngine: %v", err)
+		}
+		div := int64(engine.Div(1))
+		var now int64
+		cycle := func() {
+			for inBuf.CanPush() {
+				inBuf.Push(1)
+			}
+			e.Step(now)
+			now += div
+			for outBuf.CanPop(out) {
+				outBuf.Pop(out)
+			}
+		}
+		for i := 0; i < 256; i++ {
+			cycle()
+		}
+		loads := fetch.Accesses
+		// AllocsPerRun reports the integer mean per run, so each run steps
+		// many cycles: an amortized reallocation must still show.
+		allocs := testing.AllocsPerRun(100, func() {
+			for i := 0; i < 32; i++ {
+				cycle()
+			}
+		})
+		if e.Done() || fetch.Accesses == loads {
+			t.Fatalf("engine not iterating in steady state (done=%v, %d loads)", e.Done(), fetch.Accesses-loads)
+		}
+		if allocs != 0 {
+			t.Fatalf("steady-state iteration allocates %.1f times per 32 cycles, want 0", allocs)
 		}
 	})
 

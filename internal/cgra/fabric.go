@@ -7,6 +7,7 @@ import (
 	"distda/internal/core"
 	"distda/internal/energy"
 	"distda/internal/engine"
+	"distda/internal/fifo"
 	"distda/internal/ir"
 	"distda/internal/microcode"
 	"distda/internal/trace"
@@ -38,12 +39,16 @@ type Fabric struct {
 	div int64 // fabric clock divisor (base cycles per fabric cycle)
 
 	nextStart int64
-	inflight  []flight
+	// inflight holds the initiated iterations in completion order; outs
+	// holds their produced operands back to back in the same order, each
+	// flight owning the next nouts of them. Both are rings, so iterating
+	// allocates nothing once they have grown to the pipeline's depth.
+	inflight fifo.Queue[flight]
+	outs     fifo.Queue[outVal]
 	// consumes lists each consumed input access and its consumes per
 	// iteration, in ascending access order (a slice instead of a map keeps
 	// the per-initiation operand scan cheap and its order deterministic).
 	consumes []consumeReq
-	nprod    int // produce ops per iteration: pre-sizes each flight's outs
 	lastNow  int64
 	done     bool
 
@@ -63,7 +68,7 @@ type Fabric struct {
 
 type flight struct {
 	ready int64
-	outs  []outVal
+	nouts int // undelivered operands at the front of Fabric.outs
 }
 
 type outVal struct {
@@ -103,18 +108,12 @@ func NewFabric(def *core.AccelDef, g GridConfig, trips int64,
 			}
 		}
 	}
-	nprod := 0
-	for oi := range def.Program {
-		if def.Program[oi].Code == microcode.Produce {
-			nprod++
-		}
-	}
 	f := &Fabric{
 		def: def, prog: def.Program, mapping: m, trips: trips,
 		inputs:  make([]*accessunit.InPort, n),
 		outputs: make([]*accessunit.OutPort, n),
 		random:  random,
-		div:     div, meter: meter, nprod: nprod,
+		div:     div, meter: meter,
 	}
 	for id, p := range inputs {
 		if id < 0 || id >= n {
@@ -197,8 +196,10 @@ func (f *Fabric) finish() {
 		}
 	}
 	f.done = true
-	f.Trace.Instant("done", f.lastNow, trace.KV{K: "accel", V: int64(f.def.ID)},
-		trace.KV{K: "iters", V: f.Iters}, trace.KV{K: "ops", V: f.Ops})
+	if f.Trace.Enabled() {
+		f.Trace.Instant("done", f.lastNow, trace.KV{K: "accel", V: int64(f.def.ID)},
+			trace.KV{K: "iters", V: f.Iters}, trace.KV{K: "ops", V: f.Ops})
+	}
 }
 
 // Step advances one fabric clock edge.
@@ -209,30 +210,31 @@ func (f *Fabric) Step(now int64) bool {
 	f.lastNow = now
 	progress := false
 	// Deliver the oldest completed iteration's outputs, in order.
-	for len(f.inflight) > 0 && f.inflight[0].ready <= now {
-		head := &f.inflight[0]
-		for len(head.outs) > 0 {
-			out := head.outs[0]
+	for f.inflight.Len() > 0 && f.inflight.Front().ready <= now {
+		head := f.inflight.Front()
+		for head.nouts > 0 {
+			out := f.outs.Front()
 			p := f.outputs[out.access]
 			if !p.Buf.CanPush() {
 				break
 			}
 			p.Buf.Push(out.v)
-			head.outs = head.outs[1:]
+			f.outs.Pop()
+			head.nouts--
 			progress = true
 		}
-		if len(head.outs) > 0 {
+		if head.nouts > 0 {
 			break // back-pressure: hold delivery order
 		}
-		f.inflight = f.inflight[1:]
+		f.inflight.Pop()
 		progress = true
 	}
-	if len(f.inflight) > 0 && f.inflight[0].ready > now {
+	if f.inflight.Len() > 0 && f.inflight.Front().ready > now {
 		progress = true // pipeline timer running
 	}
 	// Completion check.
 	if f.trips >= 0 && f.iter >= f.trips {
-		if len(f.inflight) == 0 {
+		if f.inflight.Len() == 0 {
 			f.finish()
 			return true
 		}
@@ -243,7 +245,7 @@ func (f *Fabric) Step(now int64) bool {
 		if p == nil {
 			panic(fmt.Sprintf("cgra: accel %d: while-input access not wired", f.def.ID))
 		}
-		if p.Buf.Drained(p.Reader) && len(f.inflight) == 0 {
+		if p.Buf.Drained(p.Reader) && f.inflight.Len() == 0 {
 			f.finish()
 			return true
 		}
@@ -276,11 +278,11 @@ func (f *Fabric) NextEvent(now int64) int64 {
 		return 0
 	}
 	lb := engine.Never
-	if len(f.inflight) > 0 {
-		head := &f.inflight[0]
+	if f.inflight.Len() > 0 {
+		head := f.inflight.Front()
 		if head.ready > now {
 			lb = head.ready // pipeline timer: delivery matures then
-		} else if len(head.outs) == 0 || f.outputs[head.outs[0].access].Buf.CanPush() {
+		} else if head.nouts == 0 || f.outputs[f.outs.Front().access].Buf.CanPush() {
 			return 0 // can deliver (or pop the completed flight) now
 		}
 		// else: delivery blocked on the consumer; initiation may still go.
@@ -315,10 +317,7 @@ func (f *Fabric) NextEvent(now int64) int64 {
 // startIteration functionally executes one iteration and schedules its
 // completion Depth fabric cycles (plus random-access latency) later.
 func (f *Fabric) startIteration(now int64) {
-	var outs []outVal
-	if f.nprod > 0 {
-		outs = make([]outVal, 0, f.nprod)
-	}
+	nouts := 0
 	extraLat := int64(0)
 	for oi := range f.prog {
 		op := &f.prog[oi]
@@ -332,7 +331,8 @@ func (f *Fabric) startIteration(now int64) {
 			p := f.inputs[op.Access]
 			f.regs[op.Dst] = p.Buf.Pop(p.Reader)
 		case microcode.Produce:
-			outs = append(outs, outVal{access: op.Access, v: f.regs[op.A]})
+			f.outs.Push(outVal{access: op.Access, v: f.regs[op.A]})
+			nouts++
 		case microcode.LoadObj:
 			v, lat, err := f.random.Load(op.Obj, int64(f.regs[op.A]))
 			if err != nil {
@@ -372,14 +372,14 @@ func (f *Fabric) startIteration(now int64) {
 		}
 	}
 	ready := now + int64(f.mapping.Depth)*f.div + extraLat
-	if n := len(f.inflight); n > 0 && ready < f.inflight[n-1].ready {
-		ready = f.inflight[n-1].ready // in-order completion
+	if f.inflight.Len() > 0 && ready < f.inflight.Back().ready {
+		ready = f.inflight.Back().ready // in-order completion
 	}
-	if extraLat > 0 {
+	if extraLat > 0 && f.Trace.Enabled() {
 		f.Trace.Span("mem-stall", now, extraLat, trace.KV{K: "accel", V: int64(f.def.ID)})
 	}
 	f.IterHist.Observe(float64(ready - now))
-	f.inflight = append(f.inflight, flight{ready: ready, outs: outs})
+	f.inflight.Push(flight{ready: ready, nouts: nouts})
 	if f.mapping.MemSerial {
 		f.nextStart = ready // pointer chase: no iteration overlap
 	} else {

@@ -155,8 +155,7 @@ type ring struct {
 
 // Engine drives a set of components to completion.
 type Engine struct {
-	rings  []*ring
-	byDiv  map[int64]*ring
+	rings  []*ring // ascending divisor; a handful at most, so Add scans it
 	seen   map[Component]bool
 	nextID int
 	live   int   // registered components not yet removed as done
@@ -211,7 +210,6 @@ type Engine struct {
 // New returns an empty engine.
 func New() *Engine {
 	return &Engine{
-		byDiv:  map[int64]*ring{},
 		seen:   map[Component]bool{},
 		maxDiv: 1,
 	}
@@ -230,7 +228,6 @@ func (e *Engine) Add(c Component, ghz int) {
 		panic("engine: Add of nil component")
 	}
 	if e.seen == nil { // zero-value Engine
-		e.byDiv = map[int64]*ring{}
 		e.seen = map[Component]bool{}
 		e.maxDiv = 1
 	}
@@ -239,20 +236,23 @@ func (e *Engine) Add(c Component, ghz int) {
 	}
 	e.seen[c] = true
 	div := int64(Div(ghz))
-	r := e.byDiv[div]
+	// Keep rings sorted by ascending divisor: the fastest clock owns the
+	// earliest possible edge, so nextWake's bounded sweep can terminate
+	// after inspecting it in the common case.
+	var r *ring
+	at := len(e.rings)
+	for i, o := range e.rings {
+		if o.div == div {
+			r = o
+			break
+		}
+		if div < o.div {
+			at = i
+			break
+		}
+	}
 	if r == nil {
 		r = &ring{div: div}
-		e.byDiv[div] = r
-		// Keep rings sorted by ascending divisor: the fastest clock owns
-		// the earliest possible edge, so nextWake's bounded sweep can
-		// terminate after inspecting it in the common case.
-		at := len(e.rings)
-		for i, o := range e.rings {
-			if div < o.div {
-				at = i
-				break
-			}
-		}
 		e.rings = append(e.rings, nil)
 		copy(e.rings[at+1:], e.rings[at:])
 		e.rings[at] = r

@@ -154,8 +154,10 @@ func (c *Core) finish() {
 		}
 	}
 	c.done = true
-	c.Trace.Instant("done", c.lastNow, trace.KV{K: "accel", V: int64(c.def.ID)},
-		trace.KV{K: "iters", V: c.Iters}, trace.KV{K: "ops", V: c.Ops})
+	if c.Trace.Enabled() {
+		c.Trace.Instant("done", c.lastNow, trace.KV{K: "accel", V: int64(c.def.ID)},
+			trace.KV{K: "iters", V: c.Iters}, trace.KV{K: "ops", V: c.Ops})
+	}
 }
 
 func (c *Core) retire(class ir.OpClass) {
@@ -248,7 +250,9 @@ func (c *Core) setStall(now, lat int64) {
 		c.StallCyc += (lat - 1) / c.ClockDiv
 	}
 	if lat > 0 {
-		c.Trace.Span("stall", now, lat, trace.KV{K: "accel", V: int64(c.def.ID)})
+		if c.Trace.Enabled() {
+			c.Trace.Span("stall", now, lat, trace.KV{K: "accel", V: int64(c.def.ID)})
+		}
 		c.StallHist.Observe(float64(lat))
 	}
 }

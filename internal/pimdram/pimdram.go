@@ -196,8 +196,10 @@ func (e *Engine) finish() {
 		}
 	}
 	e.done = true
-	e.Trace.Instant("done", e.lastNow, trace.KV{K: "accel", V: int64(e.def.ID)},
-		trace.KV{K: "iters", V: e.Iters}, trace.KV{K: "ops", V: e.Ops})
+	if e.Trace.Enabled() {
+		e.Trace.Instant("done", e.lastNow, trace.KV{K: "accel", V: int64(e.def.ID)},
+			trace.KV{K: "iters", V: e.Iters}, trace.KV{K: "ops", V: e.Ops})
+	}
 }
 
 // setStall blocks the engine until now+lat, accounting the stalled engine
@@ -208,7 +210,9 @@ func (e *Engine) setStall(now, lat int64) {
 	}
 	e.stallUntil = now + lat
 	e.StallCyc += (lat - 1) / e.div
-	e.Trace.Span("stall", now, lat, trace.KV{K: "accel", V: int64(e.def.ID)})
+	if e.Trace.Enabled() {
+		e.Trace.Span("stall", now, lat, trace.KV{K: "accel", V: int64(e.def.ID)})
+	}
 	e.StallHist.Observe(float64(lat))
 }
 

@@ -108,7 +108,7 @@ func (h *host) launch(reg *core.Region) {
 			m.memCycles += float64(m.hier.FlushRange(r.Base, r.Bytes))
 		}
 	}
-	if t1 := m.hostTS(); t1 > flushT0 {
+	if t1 := m.hostTS(); t1 > flushT0 && m.hostTrace.Enabled() {
 		m.hostTrace.Span("flush", flushT0, t1-flushT0, trace.KV{K: "region", V: reg.Name})
 	}
 
@@ -396,8 +396,10 @@ func (h *host) launch(reg *core.Region) {
 
 	engHost := float64(base) / float64(hostDiv)
 	m.accelFreeAt = start + engHost
-	m.hostTrace.Span("launch:"+reg.Name, int64(start*float64(hostDiv)), base,
-		trace.KV{K: "accels", V: int64(len(rts))}, trace.KV{K: "base_cycles", V: base})
+	if m.hostTrace.Enabled() {
+		m.hostTrace.Span("launch:"+reg.Name, int64(start*float64(hostDiv)), base,
+			trace.KV{K: "accels", V: int64(len(rts))}, trace.KV{K: "base_cycles", V: base})
+	}
 	// Profiling: writeback spans the host cycles from here through the
 	// cp_load_rf read-back loop (sync waits included).
 	wbStart := m.hostTimeline()
@@ -412,7 +414,7 @@ func (h *host) launch(reg *core.Region) {
 			m.hostTrace.Span("wait-accel", int64(hostNow*float64(hostDiv)), int64(wait*float64(hostDiv)))
 			m.memCycles += wait
 		}
-		m.inflightWrites = map[string]bool{}
+		clear(m.inflightWrites)
 	} else {
 		for _, rt := range rts {
 			for _, acc := range rt.def.Accesses {
@@ -458,6 +460,7 @@ func (h *host) launch(reg *core.Region) {
 			e.AddProfile(m.prof, pr)
 		}
 	}
+	m.releaseBuffers()
 }
 
 // placeAccel chooses the accelerator's cluster: Mono-CA pins everything to

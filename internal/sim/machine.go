@@ -35,7 +35,17 @@ type machine struct {
 	priv    *privFetcher
 	mmio    core.IntrinsicStats
 	alloc   core.AllocationTable
-	buffers []*accessunit.Buffer
+
+	// Access-unit buffers are recycled across launches: liveBufs holds the
+	// current launch's, freeBufs the ones earlier launches released. A
+	// run's buffer memory is thereby bounded by its largest launch, not by
+	// the sum of all launches. bufAccesses folds released buffers' pushes
+	// and pops into a run total; nbufs numbers buffers globally for their
+	// profile queue names.
+	liveBufs    []*accessunit.Buffer
+	freeBufs    []*accessunit.Buffer
+	bufAccesses int64
+	nbufs       int
 
 	// objs caches each kernel object's slab region, declaration and backing
 	// slice; lastObj remembers the most recent hit. addr/Read/Write run once
@@ -214,7 +224,7 @@ func (m *machine) syncAccel() {
 		m.hostTrace.Span("wait-accel", m.hostTS(), int64(wait*float64(hostDiv)))
 		m.memCycles += wait
 	}
-	m.inflightWrites = map[string]bool{}
+	clear(m.inflightWrites)
 }
 
 // joinIfWritten synchronizes with outstanding offloads before the host
@@ -400,25 +410,37 @@ func (f dramFetcher) LineBytes() int { return 64 }
 // the timing model keeps its single aggregate latency).
 const profileDRAMChannels = 4
 
-// newBuffer creates and tracks a decoupling buffer against the launch
-// environment's meter and profiler, attaching an occupancy histogram when
+// newBuffer hands out a decoupling buffer for the current launch — a
+// released one reset when available, else a fresh one — metering against
+// the launch environment's meter and attaching an occupancy histogram when
 // profiling is on. Buffer names stay global (machine-ordered) so sharded
 // and serial runs produce identical queue identities.
 func (m *machine) newBuffer(env *launchEnv) (*accessunit.Buffer, error) {
-	b, err := accessunit.NewBuffer(m.cfg.BufElems, env.meter)
-	if err != nil {
-		return nil, err
+	var b *accessunit.Buffer
+	if n := len(m.freeBufs); n > 0 {
+		b = m.freeBufs[n-1]
+		m.freeBufs = m.freeBufs[:n-1]
+		b.Reset(env.meter)
+	} else {
+		var err error
+		if b, err = accessunit.NewBuffer(m.cfg.BufElems, env.meter); err != nil {
+			return nil, err
+		}
 	}
-	b.Occ = env.prof.Queue("buffer", fmt.Sprintf("buf%d", len(m.buffers))) // nil on nil profiler
-	m.buffers = append(m.buffers, b)
+	if env.prof != nil {
+		b.Occ = env.prof.Queue("buffer", fmt.Sprintf("buf%d", m.nbufs))
+	}
+	m.nbufs++
+	m.liveBufs = append(m.liveBufs, b)
 	return b, nil
 }
 
-// intraBytes sums buffer-internal traffic (Fig. 9 "intra").
-func (m *machine) intraBytes() int64 {
-	var t int64
-	for _, b := range m.buffers {
-		t += (b.Pushes + b.Pops) * 8
+// releaseBuffers ends the launch's use of its buffers: their traffic joins
+// the run total and the buffers return to the free list.
+func (m *machine) releaseBuffers() {
+	for _, b := range m.liveBufs {
+		m.bufAccesses += b.Pushes + b.Pops
 	}
-	return t
+	m.freeBufs = append(m.freeBufs, m.liveBufs...)
+	m.liveBufs = m.liveBufs[:0]
 }

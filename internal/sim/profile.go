@@ -80,13 +80,9 @@ func (m *machine) snapshotProfile(res *Result) {
 
 	// Access-unit buffers: one event per push/pop, each a single-cycle SRAM
 	// touch at the 2 GHz access-unit clock.
-	var bufEvents int64
-	for _, b := range m.buffers {
-		bufEvents += b.Pushes + b.Pops
-	}
 	au := p.Component("au", "buffers")
-	au.AddBusy(bufEvents * hostDiv)
-	au.AddEvents(bufEvents)
+	au.AddBusy(m.bufAccesses * hostDiv)
+	au.AddEvents(m.bufAccesses)
 	au.AddEnergy(m.meter.Get(energy.CatBuffer))
 
 	// MMIO controller and the accelerator substrate's aggregate energy (the

@@ -312,26 +312,16 @@ func pageToken(p int64) string {
 // wireInbox is the receiving end of a cross-island link wire: the window
 // coordinator delivers messages into it at barriers (conservatively early
 // — the link half waits for Msg.At), and the island's link half drains it
-// single-threaded during its windows.
+// single-threaded during its windows, through the embedded wire's
+// accessunit.WireRecv methods.
 type wireInbox struct {
-	q []accessunit.LinkMsg
+	accessunit.LocalWire
 }
 
 // push adapts shard.Channel's Deliver callback.
 func (w *wireInbox) push(m shard.Msg) {
-	w.q = append(w.q, accessunit.LinkMsg{At: m.At, Kind: m.Kind, Val: m.Val})
+	w.Send(accessunit.LinkMsg{At: m.At, Kind: m.Kind, Val: m.Val})
 }
-
-// Head implements accessunit.WireRecv.
-func (w *wireInbox) Head() (accessunit.LinkMsg, bool) {
-	if len(w.q) == 0 {
-		return accessunit.LinkMsg{}, false
-	}
-	return w.q[0], true
-}
-
-// Pop implements accessunit.WireRecv.
-func (w *wireInbox) Pop() { w.q = w.q[1:] }
 
 // chanSend is the sending end of a cross-island link wire, forwarding the
 // link half's stamped messages into a shard channel for barrier delivery.

@@ -12,7 +12,8 @@
 # Each benchmark runs SAMPLES times (go test -count); the snapshot records
 # the per-benchmark mean, sample standard deviation, min and max of ns/op,
 # so a reader can tell a real regression from scheduler noise without
-# rerunning. Schema distda-bench/v2 (v1 recorded a single sample).
+# rerunning, plus the mean bytes_per_op and allocs_per_op (-benchmem).
+# Schema distda-bench/v2 (v1 recorded a single sample).
 #
 # The date in the default filename is UTC (YYYY-MM-DD); rerunning on the same
 # day overwrites that day's snapshot, which is the intent — one file per day,
@@ -28,12 +29,13 @@ OUT=${OUT:-BENCH_${DATE}.json}
 RAW=$(mktemp)
 trap 'rm -f "$RAW"' EXIT
 
-echo "== go test -p 1 -run=NONE -bench=. -benchtime=$BENCHTIME -count=$SAMPLES ./..." >&2
+echo "== go test -p 1 -run=NONE -bench=. -benchmem -benchtime=$BENCHTIME -count=$SAMPLES ./..." >&2
 # -run=NONE skips unit tests; benchmarks still run. -p 1 serializes package
 # test binaries: by default go test runs several packages concurrently,
-# which corrupts wall-clock benchmark numbers. Benchmark failures must fail
-# the script, so no `|| true`.
-go test -p 1 -run=NONE -bench=. -benchtime="$BENCHTIME" -count="$SAMPLES" ./... > "$RAW"
+# which corrupts wall-clock benchmark numbers. -benchmem makes every
+# benchmark report B/op and allocs/op. Benchmark failures must fail the
+# script, so no `|| true`.
+go test -p 1 -run=NONE -bench=. -benchmem -benchtime="$BENCHTIME" -count="$SAMPLES" ./... > "$RAW"
 
 GOVERSION=$(go env GOVERSION)
 GOOS=$(go env GOOS)
