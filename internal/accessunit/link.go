@@ -8,16 +8,11 @@ import (
 
 // This file realizes one producer→consumer channel across access units
 // (Fig. 4) as a pair of engine components — LinkTx at the producer's node,
-// LinkRx at the consumer's — exchanging timestamped messages over a Wire.
-// Every cross-half observation is message-mediated with at least one cycle
-// of latency: elements and end-of-stream travel Tx→Rx at the NoC transfer
-// latency, and buffer space comes back Rx→Tx as batched credit returns
-// (credit-based flow control, §IV-C). That discipline is what makes the
-// halves shardable: a conservative time-window coordinator may run the two
-// sides on different goroutines and exchange their wires' messages only at
-// window barriers, because neither side ever reads the other's state
-// directly. In a serial engine the same halves are joined by a LocalWire
-// and behave identically cycle for cycle.
+// LinkRx at the consumer's — exchanging timestamped messages over
+// LocalWires. Every cross-half observation is message-mediated with at
+// least one cycle of latency: elements and end-of-stream travel Tx→Rx at
+// the NoC transfer latency, and buffer space comes back Rx→Tx as batched
+// credit returns (credit-based flow control, §IV-C).
 
 // Message kinds carried on a link's wires.
 const (
@@ -30,33 +25,20 @@ const (
 )
 
 // LinkMsg is one timestamped message between link halves. At is the base
-// cycle at which the receiver may observe it; a receiver holding a message
-// early (a window coordinator delivers conservatively early) must wait for
-// its own clock to reach At.
+// cycle at which the receiver may observe it: the message sits on the wire
+// from the moment it is sent, and the receiver waits for its own clock to
+// reach At.
 type LinkMsg struct {
 	At   int64
 	Kind int
 	Val  float64
 }
 
-// WireSend is the sending end of a one-directional wire between link
-// halves. Messages must be sent with nondecreasing At (the NoC route is
-// FIFO); senders enforce this by clamping.
-type WireSend interface {
-	Send(m LinkMsg)
-}
-
-// WireRecv is the receiving end: Head exposes the earliest visible message
-// without consuming it.
-type WireRecv interface {
-	Head() (LinkMsg, bool)
-	Pop()
-}
-
-// LocalWire joins two link halves registered in the same engine: a FIFO
-// the receiver drains by timestamp. It is the serial (and intra-shard)
-// wire. Its ring is bounded by the link's credits (elements in flight)
-// and credit batches, so it stops allocating after the first few messages.
+// LocalWire is one direction of a link: a FIFO the receiver drains by
+// timestamp. Messages are sent with nondecreasing At (the NoC route is
+// FIFO); senders enforce this by clamping. Its ring is bounded by the
+// link's credits (elements in flight) and credit batches, so it stops
+// allocating after the first few messages.
 type LocalWire struct {
 	q fifo.Queue[LinkMsg]
 }
@@ -96,27 +78,12 @@ type LinkTx struct {
 	dstNode   int
 	elemBytes int
 
-	out     WireSend
-	credits WireRecv
+	out     *LocalWire
+	credits *LocalWire
 	avail   int
 	lastAt  int64
 	closed  bool
 	stats   *Stats
-}
-
-// NewLinkTx builds the producer half. dstCap is the consumer buffer's
-// capacity (the credit clamp); out carries elements and close, credits
-// carries returns.
-func NewLinkTx(src *Buffer, mesh *noc.Mesh, srcNode, dstNode, elemBytes, dstCap int, out WireSend, credits WireRecv, stats *Stats) *LinkTx {
-	avail := linkCredits
-	if dstCap < avail {
-		avail = dstCap
-	}
-	return &LinkTx{
-		src: src, srcReader: src.AttachReader(0), mesh: mesh,
-		srcNode: srcNode, dstNode: dstNode, elemBytes: elemBytes,
-		out: out, credits: credits, avail: avail, stats: stats,
-	}
 }
 
 // send stamps and forwards one message, keeping arrival times monotone
@@ -207,17 +174,11 @@ type LinkRx struct {
 	srcNode int
 	dstNode int
 
-	in      WireRecv
-	credits WireSend
+	in      *LocalWire
+	credits *LocalWire
 	batch   int
 	lastAt  int64
 	closed  bool
-}
-
-// NewLinkRx builds the consumer half. in carries elements and close from
-// the Tx; credits carries returns back.
-func NewLinkRx(dst *Buffer, mesh *noc.Mesh, srcNode, dstNode int, in WireRecv, credits WireSend) *LinkRx {
-	return &LinkRx{dst: dst, mesh: mesh, srcNode: srcNode, dstNode: dstNode, in: in, credits: credits}
 }
 
 // Done reports that end-of-stream was delivered.
@@ -295,11 +256,20 @@ func (l *LinkRx) returnCredits(now int64, n int) {
 	l.credits.Send(LinkMsg{At: at, Kind: LinkCredit, Val: float64(n)})
 }
 
-// NewLocalLink wires a Tx/Rx pair over LocalWires — the serial form used
-// when both halves run in one engine.
+// NewLocalLink wires a Tx/Rx pair over a forward and a credit-return
+// LocalWire. dstCap, the consumer buffer's capacity, clamps the sender's
+// initial credit grant.
 func NewLocalLink(src, dst *Buffer, mesh *noc.Mesh, srcNode, dstNode, elemBytes int, stats *Stats) (*LinkTx, *LinkRx) {
 	fwd, back := &LocalWire{}, &LocalWire{}
-	tx := NewLinkTx(src, mesh, srcNode, dstNode, elemBytes, dst.Cap(), fwd, back, stats)
-	rx := NewLinkRx(dst, mesh, srcNode, dstNode, fwd, back)
+	avail := linkCredits
+	if c := dst.Cap(); c < avail {
+		avail = c
+	}
+	tx := &LinkTx{
+		src: src, srcReader: src.AttachReader(0), mesh: mesh,
+		srcNode: srcNode, dstNode: dstNode, elemBytes: elemBytes,
+		out: fwd, credits: back, avail: avail, stats: stats,
+	}
+	rx := &LinkRx{dst: dst, mesh: mesh, srcNode: srcNode, dstNode: dstNode, in: fwd, credits: back}
 	return tx, rx
 }

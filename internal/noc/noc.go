@@ -142,8 +142,8 @@ func (n *Mesh) Flits(bytes int) int {
 // MinLatency returns the smallest latency any message can experience from
 // node a to node b: one local cycle when co-located, otherwise the pure
 // route traversal (hops × per-hop delay, single-flit payload). It performs
-// no accounting — conservative window coordinators use it as the lookahead
-// bound under which Transfer's per-message latency can never fall.
+// no accounting — a link's end-of-stream marker, which carries no payload,
+// travels at this latency.
 func (n *Mesh) MinLatency(a, b int) int {
 	hops := n.Hops(a, b)
 	if hops == 0 {
@@ -177,27 +177,6 @@ func (n *Mesh) Transfer(a, b, bytes int, class Class) int {
 		return 1
 	}
 	return hops*n.cfg.HopCycles + (flits - 1)
-}
-
-// AddCounters folds another mesh's traffic counters into n: per-class
-// bytes, messages and flit-hops add, and per-link flit profiles add when
-// both meshes carry one. Every field is an integer count, so folding
-// shard meshes in any order reproduces the serial totals exactly. Energy is
-// not transferred — the shard's meter log owns it.
-func (n *Mesh) AddCounters(o *Mesh) {
-	if o == nil {
-		return
-	}
-	for c := 0; c < int(numClasses); c++ {
-		n.Bytes[c] += o.Bytes[c]
-		n.Messages[c] += o.Messages[c]
-		n.FlitHops[c] += o.FlitHops[c]
-	}
-	if n.linkFlits != nil && o.linkFlits != nil && len(n.linkFlits) == len(o.linkFlits) {
-		for i, f := range o.linkFlits {
-			n.linkFlits[i] += f
-		}
-	}
 }
 
 // TotalBytes returns bytes moved across all classes.

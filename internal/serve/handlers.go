@@ -191,7 +191,7 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 
 // handleMetrics renders the wall-clock telemetry registry in Prometheus
 // text exposition format. Scrape-time mirrors (queue gauges, cache
-// counters, shard attribution) are refreshed first.
+// counters) are refreshed first.
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	if s.obsReg == nil {
 		http.Error(w, "telemetry disabled (Config.Obs is nil)", http.StatusNotFound)

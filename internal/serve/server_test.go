@@ -20,6 +20,7 @@ import (
 	"distda/internal/compiler"
 	"distda/internal/exp"
 	"distda/internal/ir"
+	"distda/internal/obs"
 	"distda/internal/profile"
 	"distda/internal/sim"
 	"distda/internal/workloads"
@@ -302,24 +303,37 @@ func TestSubmitValidation(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
 	cases := []struct {
 		name, body string
+		want       string // substring of the error body, when set
 	}{
-		{"malformed json", `{"workload": `},
-		{"unknown field", `{"wrkload": "bfs"}`},
-		{"unknown workload", `{"workload": "nope", "scale": "test"}`},
-		{"unknown config", `{"workload": "bfs", "config": "nope"}`},
-		{"unknown scale", `{"workload": "bfs", "scale": "huge"}`},
-		{"unknown engine", `{"workload": "bfs", "engine": "warp"}`},
-		{"bad ghz", `{"workload": "bfs", "ghz": 7}`},
-		{"bad threads", `{"workload": "bfs", "threads": -1}`},
-		{"empty matrix", `{"kind": "matrix", "scale": "test"}`},
-		{"bad fig", `{"kind": "matrix", "selection": {"figs": ["99"]}}`},
-		{"matrix with workload", `{"kind": "matrix", "workload": "bfs", "all": true}`},
-		{"unknown kind", `{"kind": "sweep"}`},
+		{"malformed json", `{"workload": `, ""},
+		{"unknown field", `{"wrkload": "bfs"}`, `unknown field "wrkload"`},
+		{"unknown workload", `{"workload": "nope", "scale": "test"}`, ""},
+		{"unknown config", `{"workload": "bfs", "config": "nope"}`, ""},
+		{"unknown scale", `{"workload": "bfs", "scale": "huge"}`, ""},
+		{"unknown engine", `{"workload": "bfs", "engine": "warp"}`, ""},
+		{"bad ghz", `{"workload": "bfs", "ghz": 7}`, ""},
+		{"bad threads", `{"workload": "bfs", "threads": -1}`, ""},
+		{"empty matrix", `{"kind": "matrix", "scale": "test"}`, ""},
+		{"bad fig", `{"kind": "matrix", "selection": {"figs": ["99"]}}`, ""},
+		{"matrix with workload", `{"kind": "matrix", "workload": "bfs", "all": true}`, ""},
+		{"unknown kind", `{"kind": "sweep"}`, ""},
+		{"shards retired", `{"workload": "bfs", "shards": 2}`, `unknown field "shards"`},
 	}
 	for _, c := range cases {
-		resp, _ := postJob(t, ts, c.body)
+		resp, err := http.Post(ts.URL+"/api/v1/jobs", "application/json", strings.NewReader(c.body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var e struct {
+			Error string `json:"error"`
+		}
+		err = json.NewDecoder(resp.Body).Decode(&e)
+		resp.Body.Close()
 		if resp.StatusCode != http.StatusBadRequest {
 			t.Errorf("%s: status = %d, want 400", c.name, resp.StatusCode)
+		}
+		if err != nil || !strings.Contains(e.Error, c.want) {
+			t.Errorf("%s: error %q (decode err %v) does not name %q", c.name, e.Error, err, c.want)
 		}
 	}
 	if st := getStatus(t, ts, "j999999"); st.ID != "" {
@@ -340,7 +354,7 @@ func stubServer(t *testing.T, cfg Config) (*Server, *httptest.Server, chan struc
 	t.Helper()
 	release := make(chan struct{})
 	s, ts := newTestServer(t, cfg)
-	s.run = func(ctx context.Context, p *plan, prog *profile.Progress, o *runObs) ([]byte, error) {
+	s.run = func(ctx context.Context, p *plan, prog *profile.Progress, spans *obs.SpanList) ([]byte, error) {
 		select {
 		case <-release:
 			return []byte("stub " + p.spec.Workload + "\n"), nil
@@ -512,9 +526,9 @@ func TestShutdownJournalsAndResumesByteIdentically(t *testing.T) {
 	// shutdown interrupts it.
 	started := make(chan struct{})
 	real := s1.run
-	s1.run = func(ctx context.Context, p *plan, prog *profile.Progress, o *runObs) ([]byte, error) {
+	s1.run = func(ctx context.Context, p *plan, prog *profile.Progress, spans *obs.SpanList) ([]byte, error) {
 		close(started)
-		return real(ctx, p, prog, o)
+		return real(ctx, p, prog, spans)
 	}
 	j1, err := s1.Submit(spec)
 	if err != nil {
@@ -531,6 +545,31 @@ func TestShutdownJournalsAndResumesByteIdentically(t *testing.T) {
 	}
 	if _, err := s1.Submit(spec); err != ErrShuttingDown {
 		t.Fatalf("submit after shutdown = %v", err)
+	}
+	// Journals may hold entries carrying the retired "shards" field. Such an
+	// entry still restores (plain json.Unmarshal ignores the field) and
+	// resumes to the batch CLI's bytes.
+	jpath := filepath.Join(stateDir, "journal.json")
+	raw, err := os.ReadFile(jpath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var jf map[string]any
+	if err := json.Unmarshal(raw, &jf); err != nil {
+		t.Fatal(err)
+	}
+	nextID := int(jf["next_id"].(float64)) + 1
+	legacyID := fmt.Sprintf("j%06d", nextID)
+	jf["next_id"] = nextID
+	jf["jobs"] = append(jf["jobs"].([]any), map[string]any{
+		"id":   legacyID,
+		"spec": map[string]any{"workload": "fdtd-2d", "config": "Dist-DA-F+A", "scale": "test", "shards": 2},
+	})
+	if raw, err = json.Marshal(jf); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(jpath, raw, 0o644); err != nil {
+		t.Fatal(err)
 	}
 
 	// A restarted server resumes the journaled job under its original ID
@@ -560,8 +599,24 @@ func TestShutdownJournalsAndResumesByteIdentically(t *testing.T) {
 	if want := directMatrix(t, sel); !bytes.Equal(out, want) {
 		t.Error("resumed job output differs from batch render")
 	}
-	if s2.Stats().Restored != 1 {
-		t.Errorf("restored counter = %d, want 1", s2.Stats().Restored)
+	j3, err := s2.Get(legacyID)
+	if err != nil {
+		t.Fatalf("restored server lost journaled job %s: %v", legacyID, err)
+	}
+	select {
+	case <-j3.Done():
+	case <-time.After(60 * time.Second):
+		t.Fatal("resumed shards-carrying job did not finish")
+	}
+	out, state, errMsg = s2.Result(j3)
+	if state != StateDone {
+		t.Fatalf("resumed shards-carrying job state = %s (%s)", state, errMsg)
+	}
+	if want := directRun(t, "fdtd-2d", "Dist-DA-F+A"); !bytes.Equal(out, want) {
+		t.Error("resumed shards-carrying job output differs from batch render")
+	}
+	if s2.Stats().Restored != 2 {
+		t.Errorf("restored counter = %d, want 2", s2.Stats().Restored)
 	}
 	// Clean shutdown with nothing pending removes the journal.
 	if err := s2.Shutdown(context.Background()); err != nil {

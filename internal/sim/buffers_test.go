@@ -19,27 +19,25 @@ func TestBufferRecyclingKeepsAccounting(t *testing.T) {
 	cases := []struct {
 		workload string
 		cfg      Config
-		shards   int
 		launches int64
 		moved    int64 // Result.DataMovedBytes
 		events   int64 // au/buffers events: pushes + pops
 		queues   int   // buf%d occupancy queues
 		samples  int64 // occupancy samples: pushes
 	}{
-		{"fdtd-2d", DistDAF(), 1, 140, 822840, 61266, 838, 29246},
-		{"fdtd-2d", MonoDAF(), 1, 140, 635352, 38018, 466, 17622},
-		{"cholesky", DistDAFA(), 1, 276, 282736, 9700, 486, 5376},
-		{"pagerank", DistDAIO(), 1, 128, 402024, 16380, 1920, 8190},
-		{"pagerank", DistDAFA(), 4, 128, 439016, 17472, 2048, 8736},
+		{"fdtd-2d", DistDAF(), 140, 822840, 61266, 838, 29246},
+		{"fdtd-2d", MonoDAF(), 140, 635352, 38018, 466, 17622},
+		{"cholesky", DistDAFA(), 276, 282736, 9700, 486, 5376},
+		{"pagerank", DistDAIO(), 128, 402024, 16380, 1920, 8190},
+		{"pagerank", DistDAFA(), 128, 439016, 17472, 2048, 8736},
 	}
 	for _, tc := range cases {
-		t.Run(fmt.Sprintf("%s/%s/shards=%d", tc.workload, tc.cfg.Name, tc.shards), func(t *testing.T) {
+		t.Run(tc.workload+"/"+tc.cfg.Name, func(t *testing.T) {
 			w, err := workloads.ByName(tc.workload, workloads.ScaleTest)
 			if err != nil {
 				t.Fatal(err)
 			}
 			cfg := tc.cfg
-			cfg.Shards = tc.shards
 			cfg.Profile = profile.New()
 			res, err := Run(w.Kernel, w.Params, w.NewData(), cfg)
 			if err != nil {

@@ -47,41 +47,6 @@ func TestEngineSchedulerDifferential(t *testing.T) {
 	}
 }
 
-// TestEngineSchedulerDifferentialSharded crosses the scheduler sweep with
-// intra-run sharding: the default adaptive scheduler split across {2,4,8}
-// shard goroutines must reproduce the naive serial reference bit for bit.
-// The configurations cover both launch topologies that actually shard —
-// allocation-spread NUCA islands linked by windowed channels, and the
-// PIM-in-DRAM backend whose engines pin to memory controllers.
-func TestEngineSchedulerDifferentialSharded(t *testing.T) {
-	ws := workloads.All(workloads.ScaleTest)
-	ws = append(ws, workloads.SpMV(workloads.ScaleTest))
-	for _, w := range ws {
-		data := w.NewData()
-		for _, cfg := range []Config{DistDAFA(), DistDAPIM()} {
-			naiveCfg := cfg
-			naiveCfg.EngineMode = engine.ModeNaive
-			nRes, nErr := Run(w.Kernel, w.Params, copyData(data), naiveCfg)
-			if nErr != nil {
-				t.Fatalf("%s on %s: naive err=%v", w.Name, cfg.Name, nErr)
-			}
-			for _, shards := range []int{2, 4, 8} {
-				shardCfg := cfg
-				shardCfg.EngineMode = engine.ModeAdaptive
-				shardCfg.Shards = shards
-				sRes, sErr := Run(w.Kernel, w.Params, copyData(data), shardCfg)
-				if sErr != nil {
-					t.Fatalf("%s on %s (shards=%d): err=%v", w.Name, cfg.Name, shards, sErr)
-				}
-				if !reflect.DeepEqual(nRes, sRes) {
-					t.Errorf("%s on %s: results diverge between naive serial and adaptive shards=%d:\nnaive:   %+v\nsharded: %+v",
-						w.Name, cfg.Name, shards, nRes, sRes)
-				}
-			}
-		}
-	}
-}
-
 // TestEngineSchedulerDifferentialThreads covers the multithreaded
 // strip-mining path, where several accelerator launches interleave.
 func TestEngineSchedulerDifferentialThreads(t *testing.T) {
@@ -112,28 +77,5 @@ func TestEngineSchedulerDifferentialThreads(t *testing.T) {
 				}
 			}
 		}
-	}
-}
-
-// TestNaiveEngineFlagStillOverrides keeps the legacy boolean working: a
-// config asking for the adaptive mode but with NaiveEngine set must run
-// the reference scheduler (the two knobs coexist during migration).
-func TestNaiveEngineFlagStillOverrides(t *testing.T) {
-	w := workloads.Pathfinder(workloads.ScaleTest)
-	data := w.NewData()
-	cfg := DistDAIO()
-	cfg.EngineMode = engine.ModeAdaptive
-	cfg.NaiveEngine = true
-	nRes, err := Run(w.Kernel, w.Params, copyData(data), cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg.NaiveEngine = false
-	aRes, err := Run(w.Kernel, w.Params, copyData(data), cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(nRes, aRes) {
-		t.Error("results diverge between override and adaptive modes")
 	}
 }

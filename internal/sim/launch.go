@@ -8,7 +8,6 @@ import (
 	"distda/internal/core"
 	"distda/internal/energy"
 	"distda/internal/engine"
-	"distda/internal/engine/shard"
 	"distda/internal/ir"
 	"distda/internal/microcode"
 	"distda/internal/noc"
@@ -165,44 +164,7 @@ func (h *host) launch(reg *core.Region) {
 
 	eng := engine.New()
 	eng.Mode = m.cfg.EngineMode
-	if m.cfg.NaiveEngine {
-		eng.Mode = engine.ModeNaive
-	}
 	eng.CollectFF = m.prof != nil
-
-	// Intra-run sharding: partition the accelerators into islands by the
-	// NUCA resources they may touch and assemble each island against a
-	// private environment (see shard.go). Tracing and the Mono-CA private
-	// cache share per-run state across accelerators, so those paths stay
-	// serial, as does any launch whose claims collapse into one island.
-	serial := m.serialEnv(eng)
-	envOf := make([]*launchEnv, len(rts))
-	envs := []*launchEnv{serial}
-	sharded := false
-	var islandClusters [][]int
-	if m.cfg.Shards > 1 && m.tr == nil && !(m.cfg.Centralized && m.cfg.PrivCacheKB > 0) {
-		if islands, clusters := h.planShards(rts); len(islands) >= 2 {
-			sharded = true
-			islandClusters = clusters
-			if shardObserver != nil {
-				shardObserver(len(islands))
-			}
-			var nextComp int32
-			envs = make([]*launchEnv, len(islands))
-			for k, members := range islands {
-				envs[k] = m.newIslandEnv(&nextComp)
-				envs[k].island = k
-				for _, u := range members {
-					envOf[u] = envs[k]
-				}
-			}
-		}
-	}
-	if !sharded {
-		for i := range envOf {
-			envOf[i] = serial
-		}
-	}
 
 	// Pass 2: buffers, FSMs, links for stream accesses; channel endpoint
 	// buffers.
@@ -212,8 +174,7 @@ func (h *host) launch(reg *core.Region) {
 	if lim := int64(m.cfg.BufElems) / 2; combineWindow > lim {
 		combineWindow = lim
 	}
-	for ri, rt := range rts {
-		env := envOf[ri]
+	for _, rt := range rts {
 		plan, err := core.PlanBuffers(rt.def, rt.streams, combineWindow, m.cfg.Combining)
 		if err != nil {
 			h.failf("launch: %v", err)
@@ -232,22 +193,22 @@ func (h *host) launch(reg *core.Region) {
 			first := rt.def.Accesses[ba.Accesses[0]]
 			switch first.Kind {
 			case core.StreamIn:
-				if err := h.wireStreamIn(env, rt, ba); err != nil {
+				if err := h.wireStreamIn(eng, rt, ba); err != nil {
 					h.failf("launch: %v", err)
 				}
 			case core.StreamOut:
-				if err := h.wireStreamOut(env, rt, ba); err != nil {
+				if err := h.wireStreamOut(eng, rt, ba); err != nil {
 					h.failf("launch: %v", err)
 				}
 			case core.ChanOut:
-				b, err := m.newBuffer(env)
+				b, err := m.newBuffer()
 				if err != nil {
 					h.failf("launch: %v", err)
 				}
 				rt.chanSrc[first.ID] = b
 				rt.outPorts[first.ID] = &accessunit.OutPort{Buf: b}
 			case core.ChanIn:
-				b, err := m.newBuffer(env)
+				b, err := m.newBuffer()
 				if err != nil {
 					h.failf("launch: %v", err)
 				}
@@ -257,45 +218,28 @@ func (h *host) launch(reg *core.Region) {
 		}
 	}
 
-	// Pass 3: links between channel endpoints. Peers sharing an island get
-	// a local wire; peers on different islands get the split form — the Tx
-	// half in the producer's engine, the Rx half in the consumer's, joined
-	// by latency-stamped shard channels the windowed coordinator drains at
-	// barriers in canonical order.
-	var xchans []*shard.Channel
-	for ri, rt := range rts {
-		env := envOf[ri]
+	// Pass 3: links between channel endpoints.
+	for _, rt := range rts {
 		for _, acc := range rt.def.Accesses {
 			if acc.Kind != core.ChanOut {
 				continue
 			}
 			peer := rts[acc.Peer.Accel]
-			penv := envOf[acc.Peer.Accel]
 			dst := peer.chanCons[acc.Peer.Access]
 			if dst == nil {
 				h.failf("launch: channel %d.%d has no consumer buffer", rt.def.ID, acc.ID)
 			}
-			src := rt.chanSrc[acc.ID]
-			if env == penv {
-				tx, rx := accessunit.NewLocalLink(src, dst, env.mesh, rt.cluster, peer.cluster, acc.ElemBytes, env.austats)
-				env.add(tx, 2)
-				env.add(rx, 2)
-			} else {
-				tx, rx, chans := crossLink(env, penv, src, dst, rt.cluster, peer.cluster, acc.ElemBytes)
-				env.add(tx, 2)
-				penv.add(rx, 2)
-				xchans = append(xchans, chans...)
-			}
+			tx, rx := accessunit.NewLocalLink(rt.chanSrc[acc.ID], dst, m.mesh, rt.cluster, peer.cluster, acc.ElemBytes, m.austats)
+			eng.Add(tx, 2)
+			eng.Add(rx, 2)
 		}
 	}
 
 	// Pass 4: backend engines, scalar initialization, cp_run.
 	var engines []backend.Engine
 	var randomPorts []*accessunit.RandomPort
-	for ri, rt := range rts {
-		env := envOf[ri]
-		fetch := h.fetcherFor(env, rt)
-		rp := accessunit.NewRandomPort(newSimMemory(m), fetch, rt.cluster, env.austats, env.meter)
+	for _, rt := range rts {
+		rp := accessunit.NewRandomPort(newSimMemory(m), h.fetcherFor(rt), rt.cluster, m.austats, m.meter)
 		if len(rt.def.Prefill) > 0 {
 			rp.Prefill = map[string]bool{}
 			for _, obj := range rt.def.Prefill {
@@ -323,7 +267,7 @@ func (h *host) launch(reg *core.Region) {
 			Def: rt.def, Trips: trips[rt.def.ID],
 			In: rt.inPorts, Out: rt.outPorts, Random: rp,
 			GHz: m.cfg.AccelGHz, Width: m.cfg.IOWidth,
-			Meter: env.meter, Metrics: env.met, Opts: beOpts,
+			Meter: m.meter, Metrics: m.met, Opts: beOpts,
 		})
 		if err != nil {
 			h.failf("launch: backend %s: %v", be.Name(), err)
@@ -334,7 +278,7 @@ func (h *host) launch(reg *core.Region) {
 		}
 		rt.regs = e
 		engines = append(engines, e)
-		env.add(e, m.cfg.AccelGHz)
+		eng.Add(e, m.cfg.AccelGHz)
 		firstLaunch := !m.scalarsSent[rt.def]
 		m.scalarsSent[rt.def] = true
 		for _, sb := range rt.def.ScalarInit {
@@ -378,21 +322,13 @@ func (h *host) launch(reg *core.Region) {
 		eng.Trace = m.tr.Component("engine").At(off)
 	}
 
-	var base int64
-	var err error
-	if sharded {
-		base, err = h.runShardEngines(envs, islandClusters, xchans)
-	} else {
-		base, err = eng.Run(m.cfg.MaxEngine)
-	}
+	base, err := eng.Run(m.cfg.MaxEngine)
 	if err != nil {
 		h.failf("launch of %s: %v", reg.Name, err)
 	}
 	m.accelBase += base
-	for _, env := range envs {
-		m.ffJumps += env.eng.FFJumps
-		m.ffSkipped += env.eng.FFSkipped
-	}
+	m.ffJumps += eng.FFJumps
+	m.ffSkipped += eng.FFSkipped
 
 	engHost := float64(base) / float64(hostDiv)
 	m.accelFreeAt = start + engHost
@@ -515,14 +451,13 @@ func (h *host) placeAccel(reg *core.Region, rt *accelRT) int {
 	return m.hier.HomeCluster(addr)
 }
 
-// fetcherFor returns the cache-path fetcher for an accelerator, wired to
-// the launch environment's hierarchy view and counters. The private-cache
-// path is shared across accelerators and launches, so it always runs under
-// the serial environment (sharding is disabled for that configuration).
-func (h *host) fetcherFor(env *launchEnv, rt *accelRT) accessunit.Fetcher {
+// fetcherFor returns the cache-path fetcher for an accelerator: direct
+// DRAM when placed off-chip, the Mono-CA private cache (shared across
+// accelerators and launches) when configured, else the L3 cluster path.
+func (h *host) fetcherFor(rt *accelRT) accessunit.Fetcher {
 	m := h.m
 	if rt.offChip {
-		return dramFetcher{dmem: env.dmem}
+		return dramFetcher{dmem: m.dmem}
 	}
 	if m.cfg.Centralized && m.cfg.PrivCacheKB > 0 {
 		if m.priv == nil {
@@ -534,13 +469,13 @@ func (h *host) fetcherFor(env *launchEnv, rt *accelRT) accessunit.Fetcher {
 		}
 		return m.priv
 	}
-	return clusterFetcher{hier: env.hier, meter: env.meter, latH: env.clusterLatH, prefetchHalve: m.cfg.SWPrefetch}
+	return clusterFetcher{hier: m.hier, meter: m.meter, latH: m.clusterLatH, prefetchHalve: m.cfg.SWPrefetch}
 }
 
 // wireStreamIn builds the fill FSM for one (possibly combined) stream-in
 // buffer and the per-accessor read ports; a remote fill FSM (decentralized
 // access with monolithic compute) forwards over a link.
-func (h *host) wireStreamIn(env *launchEnv, rt *accelRT, ba core.BufferAlloc) error {
+func (h *host) wireStreamIn(eng *engine.Engine, rt *accelRT, ba core.BufferAlloc) error {
 	m := h.m
 	first := rt.def.Accesses[ba.Accesses[0]]
 	// Union window over combined accessors.
@@ -564,35 +499,35 @@ func (h *host) wireStreamIn(env *launchEnv, rt *accelRT, ba core.BufferAlloc) er
 	if m.cfg.Centralized || rt.offChip {
 		fsmCluster = rt.cluster
 	}
-	fsmBuf, err := m.newBuffer(env)
+	fsmBuf, err := m.newBuffer()
 	if err != nil {
 		return err
 	}
-	fsm, err := accessunit.NewStreamIn(fsmBuf, newSimMemory(m), h.fetcherFor(env, &accelRT{cluster: fsmCluster, def: rt.def, offChip: rt.offChip}),
-		fsmCluster, ba.Obj, minStart, stride, length, env.austats, env.meter)
+	fsm, err := accessunit.NewStreamIn(fsmBuf, newSimMemory(m), h.fetcherFor(&accelRT{cluster: fsmCluster, def: rt.def, offChip: rt.offChip}),
+		fsmCluster, ba.Obj, minStart, stride, length, m.austats, m.meter)
 	if err != nil {
 		return err
 	}
-	fsm.LatHist = env.met.Histogram("au/fill_lat")
+	fsm.LatHist = m.met.Histogram("au/fill_lat")
 	if m.tr != nil {
 		obj := ba.Obj
 		m.scoped = append(m.scoped, func(off int64) {
 			fsm.Trace = m.tr.Component("fill:" + obj).At(off)
 		})
 	}
-	env.add(fsm, 2)
+	eng.Add(fsm, 2)
 	m.mmio.Record(core.CpFillBuf)
 	m.accelMemElem += length
 
 	consumerBuf := fsmBuf
 	if fsmCluster != rt.cluster {
-		consBuf, err := m.newBuffer(env)
+		consBuf, err := m.newBuffer()
 		if err != nil {
 			return err
 		}
-		tx, rx := accessunit.NewLocalLink(fsmBuf, consBuf, env.mesh, fsmCluster, rt.cluster, first.ElemBytes, env.austats)
-		env.add(tx, 2)
-		env.add(rx, 2)
+		tx, rx := accessunit.NewLocalLink(fsmBuf, consBuf, m.mesh, fsmCluster, rt.cluster, first.ElemBytes, m.austats)
+		eng.Add(tx, 2)
+		eng.Add(rx, 2)
 		consumerBuf = consBuf
 	}
 	for _, id := range ba.Accesses {
@@ -608,7 +543,7 @@ func (h *host) wireStreamIn(env *launchEnv, rt *accelRT, ba core.BufferAlloc) er
 // wireStreamOut builds the drain path for one stream-out access: the core
 // produces into a local buffer; the drain FSM sits with the data (or with
 // the accel when centralized), behind a link when remote.
-func (h *host) wireStreamOut(env *launchEnv, rt *accelRT, ba core.BufferAlloc) error {
+func (h *host) wireStreamOut(eng *engine.Engine, rt *accelRT, ba core.BufferAlloc) error {
 	m := h.m
 	if len(ba.Accesses) != 1 {
 		return fmt.Errorf("sim: combined stream-out buffers are not supported")
@@ -621,34 +556,34 @@ func (h *host) wireStreamOut(env *launchEnv, rt *accelRT, ba core.BufferAlloc) e
 	if m.cfg.Centralized || rt.offChip {
 		fsmCluster = rt.cluster
 	}
-	prodBuf, err := m.newBuffer(env)
+	prodBuf, err := m.newBuffer()
 	if err != nil {
 		return err
 	}
 	drainBuf := prodBuf
 	if fsmCluster != rt.cluster {
-		db, err := m.newBuffer(env)
+		db, err := m.newBuffer()
 		if err != nil {
 			return err
 		}
-		tx, rx := accessunit.NewLocalLink(prodBuf, db, env.mesh, rt.cluster, fsmCluster, acc.ElemBytes, env.austats)
-		env.add(tx, 2)
-		env.add(rx, 2)
+		tx, rx := accessunit.NewLocalLink(prodBuf, db, m.mesh, rt.cluster, fsmCluster, acc.ElemBytes, m.austats)
+		eng.Add(tx, 2)
+		eng.Add(rx, 2)
 		drainBuf = db
 	}
-	fsm, err := accessunit.NewStreamOut(drainBuf, newSimMemory(m), h.fetcherFor(env, &accelRT{cluster: fsmCluster, def: rt.def, offChip: rt.offChip}),
-		fsmCluster, ba.Obj, ev.Start, ev.Stride, env.austats, env.meter)
+	fsm, err := accessunit.NewStreamOut(drainBuf, newSimMemory(m), h.fetcherFor(&accelRT{cluster: fsmCluster, def: rt.def, offChip: rt.offChip}),
+		fsmCluster, ba.Obj, ev.Start, ev.Stride, m.austats, m.meter)
 	if err != nil {
 		return err
 	}
-	fsm.LatHist = env.met.Histogram("au/drain_lat")
+	fsm.LatHist = m.met.Histogram("au/drain_lat")
 	if m.tr != nil {
 		obj := ba.Obj
 		m.scoped = append(m.scoped, func(off int64) {
 			fsm.Trace = m.tr.Component("drain:" + obj).At(off)
 		})
 	}
-	env.add(fsm, 2)
+	eng.Add(fsm, 2)
 	m.mmio.Record(core.CpDrainBuf)
 	m.accelMemElem += ev.Length
 	rt.outPorts[id] = &accessunit.OutPort{Buf: prodBuf}

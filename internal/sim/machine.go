@@ -89,11 +89,6 @@ type machine struct {
 	hostLatH    *trace.Hist
 	clusterLatH *trace.Hist
 	combinedC   *trace.Counter
-
-	// logFree recycles island energy logs between sharded launches: event
-	// buffers reach tens of millions of entries, and regrowing them from
-	// scratch on every launch dominated the sharded allocation profile.
-	logFree []*energy.Log
 }
 
 // newMachine allocates the system and lays out the kernel's objects via the
@@ -268,9 +263,8 @@ func (m *machine) addrErr(obj string) error {
 }
 
 // simMemory adapts the machine's object store to accessunit.Memory. Each
-// instance carries its own MRU resolve cursor: access units on concurrent
-// shards share the machine's immutable object table, so the cursor — the
-// only mutable state — must be per-instance, not on the machine.
+// instance carries its own MRU resolve cursor, so every access unit keeps
+// hitting its own object's entry while others stream different objects.
 type simMemory struct {
 	m    *machine
 	last *objInfo
@@ -336,10 +330,7 @@ func (s *simMemory) ElemBytes(obj string) (int, error) {
 
 // clusterFetcher adapts the hierarchy to accessunit.Fetcher, converting
 // host-cycle latencies to base cycles. prefetchHalve models Fig. 14's
-// software prefetching (latency of random loads largely hidden). The
-// hierarchy/meter/histogram are the launch environment's: on a sharded
-// launch they are the island's private view, so concurrent fetchers never
-// share counters.
+// software prefetching (latency of random loads largely hidden).
 type clusterFetcher struct {
 	hier          *cache.Hierarchy
 	meter         *energy.Meter
@@ -395,8 +386,7 @@ func (f *privFetcher) LineBytes() int { return 64 }
 
 // dramFetcher is the §VII off-chip extension path: an accelerator placed
 // at the memory controller reads and writes DRAM lines directly, paying
-// device latency but no NoC traversal and no L3 occupancy. The memory is
-// the launch environment's (an island-private counter view when sharded).
+// device latency but no NoC traversal and no L3 occupancy.
 type dramFetcher struct{ dmem *dram.Memory }
 
 func (f dramFetcher) Access(cluster int, addr int64, write bool, bytes int) int {
@@ -411,24 +401,23 @@ func (f dramFetcher) LineBytes() int { return 64 }
 const profileDRAMChannels = 4
 
 // newBuffer hands out a decoupling buffer for the current launch — a
-// released one reset when available, else a fresh one — metering against
-// the launch environment's meter and attaching an occupancy histogram when
-// profiling is on. Buffer names stay global (machine-ordered) so sharded
-// and serial runs produce identical queue identities.
-func (m *machine) newBuffer(env *launchEnv) (*accessunit.Buffer, error) {
+// released one reset when available, else a fresh one — attaching an
+// occupancy histogram when profiling is on. Buffer names number buffers
+// across the whole run.
+func (m *machine) newBuffer() (*accessunit.Buffer, error) {
 	var b *accessunit.Buffer
 	if n := len(m.freeBufs); n > 0 {
 		b = m.freeBufs[n-1]
 		m.freeBufs = m.freeBufs[:n-1]
-		b.Reset(env.meter)
+		b.Reset(m.meter)
 	} else {
 		var err error
-		if b, err = accessunit.NewBuffer(m.cfg.BufElems, env.meter); err != nil {
+		if b, err = accessunit.NewBuffer(m.cfg.BufElems, m.meter); err != nil {
 			return nil, err
 		}
 	}
-	if env.prof != nil {
-		b.Occ = env.prof.Queue("buffer", fmt.Sprintf("buf%d", m.nbufs))
+	if m.prof != nil {
+		b.Occ = m.prof.Queue("buffer", fmt.Sprintf("buf%d", m.nbufs))
 	}
 	m.nbufs++
 	m.liveBufs = append(m.liveBufs, b)
