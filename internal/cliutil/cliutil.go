@@ -58,15 +58,32 @@ func LookupWorkload(name string, scale workloads.Scale) (*workloads.Workload, er
 	}
 }
 
+// configs names every configuration LookupConfig serves: the six paper
+// configurations of §VI-A, then the four extensions. Lookup constructs
+// only the matching one.
+var configs = []struct {
+	name string
+	mk   func() sim.Config
+}{
+	{"OoO", sim.OoO},
+	{"Mono-CA", sim.MonoCA},
+	{"Mono-DA-IO", sim.MonoDAIO},
+	{"Mono-DA-F", sim.MonoDAF},
+	{"Dist-DA-IO", sim.DistDAIO},
+	{"Dist-DA-F", sim.DistDAF},
+	{"Dist-DA-IO+SW", sim.DistDAIOSW},
+	{"Dist-DA-F+A", sim.DistDAFA},
+	{"Dist-DA-OffChip", sim.DistDAOffChip},
+	{"Dist-DA-PIM", sim.DistDAPIM},
+}
+
 // LookupConfig resolves a configuration by name, case-insensitively
 // ("dist-da-io" selects Dist-DA-IO). The named sim constructors are the
 // only source of configurations here — no Config is assembled by hand.
 func LookupConfig(name string) (sim.Config, error) {
-	all := sim.AllPaperConfigs()
-	all = append(all, sim.DistDAIOSW(), sim.DistDAFA(), sim.DistDAOffChip(), sim.DistDAPIM())
-	for _, c := range all {
-		if strings.EqualFold(c.Name, name) {
-			return c, nil
+	for _, c := range configs {
+		if strings.EqualFold(c.name, name) {
+			return c.mk(), nil
 		}
 	}
 	var zero sim.Config

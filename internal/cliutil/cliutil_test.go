@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"distda/internal/sim"
 	"distda/internal/workloads"
 )
 
@@ -81,5 +82,24 @@ func TestStringListFlag(t *testing.T) {
 func TestOpenCache(t *testing.T) {
 	if OpenCache("") == nil || OpenCache(t.TempDir()) == nil {
 		t.Fatal("OpenCache returned nil")
+	}
+}
+
+// TestLookupConfigResolvesEveryConfig pins LookupConfig's name table
+// against the sim constructors: every paper configuration and every
+// extension resolves, in any letter case, to the config of that name.
+func TestLookupConfigResolvesEveryConfig(t *testing.T) {
+	all := append(sim.AllPaperConfigs(), sim.DistDAIOSW(), sim.DistDAFA(), sim.DistDAOffChip(), sim.DistDAPIM())
+	for _, want := range all {
+		for _, in := range []string{want.Name, strings.ToLower(want.Name), strings.ToUpper(want.Name)} {
+			c, err := LookupConfig(in)
+			if err != nil {
+				t.Errorf("LookupConfig(%q): %v", in, err)
+				continue
+			}
+			if c.Name != want.Name {
+				t.Errorf("LookupConfig(%q) = %q, want %q", in, c.Name, want.Name)
+			}
+		}
 	}
 }

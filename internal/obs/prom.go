@@ -55,12 +55,7 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 		for _, s := range ser {
 			switch f.kind {
 			case KindCounter:
-				if f.seconds {
-					fmt.Fprintf(bw, "%s%s %s\n", f.name, labelSet(f.labels, s.values, "", ""),
-						formatFloat(float64(s.c.Value())/1e9))
-				} else {
-					fmt.Fprintf(bw, "%s%s %d\n", f.name, labelSet(f.labels, s.values, "", ""), s.c.Value())
-				}
+				fmt.Fprintf(bw, "%s%s %d\n", f.name, labelSet(f.labels, s.values, "", ""), s.c.Value())
 			case KindGauge:
 				fmt.Fprintf(bw, "%s%s %s\n", f.name, labelSet(f.labels, s.values, "", ""),
 					formatFloat(s.g.Value()))

@@ -17,6 +17,7 @@ import (
 	"sort"
 	"strconv"
 	"strings"
+	"sync"
 
 	"distda/internal/artifact"
 	"distda/internal/cliutil"
@@ -88,10 +89,15 @@ type plan struct {
 	mode   engine.Mode
 	key    string // artifact.ResultKey content address
 
-	// Run jobs.
-	workload *workloads.Workload
-	cfg      sim.Config // named config with clock override applied
-	kernel   *ir.Kernel // effective kernel, before thread strip-mining
+	// Run jobs. The kernel, params and text are shared with the
+	// (workload, scale) template unless the spec overrides them, so they
+	// are read-only. The plan holds no Workload: runOne builds the inputs
+	// from a fresh one.
+	workload string             // workload name
+	cfg      sim.Config         // named config with clock override applied
+	kernel   *ir.Kernel         // effective kernel, before thread strip-mining
+	params   map[string]float64 // effective kernel parameters
+	text     string             // ir.Format(kernel)
 
 	// Matrix jobs.
 	sel exp.Selection
@@ -158,7 +164,7 @@ func (p *plan) planRun(spec *JobSpec) error {
 	if spec.Workload == "" {
 		return fmt.Errorf("run job needs a workload (see distda-run -list)")
 	}
-	w, err := cliutil.LookupWorkload(spec.Workload, p.scale)
+	tmpl, err := lookupTemplate(spec.Workload, p.scale)
 	if err != nil {
 		return err
 	}
@@ -182,26 +188,26 @@ func (p *plan) planRun(spec *JobSpec) error {
 	if spec.Threads < 1 {
 		return fmt.Errorf("threads must be positive, got %d", spec.Threads)
 	}
-	kernel := w.Kernel
+	p.workload = spec.Workload
+	p.cfg = cfg
+	p.kernel, p.params, p.text = tmpl.kernel, tmpl.params, tmpl.text
 	if spec.Kernel != "" {
-		kernel, err = ParseKernel(spec.Kernel)
-		if err != nil {
+		if p.kernel, err = ParseKernel(spec.Kernel); err != nil {
 			return err
 		}
+		p.text = ir.Format(p.kernel)
 	}
 	if len(spec.Params) > 0 {
-		merged := make(map[string]float64, len(w.Params)+len(spec.Params))
-		for k, v := range w.Params {
+		// Never write the template's map: other plans share it.
+		merged := make(map[string]float64, len(p.params)+len(spec.Params))
+		for k, v := range p.params {
 			merged[k] = v
 		}
 		for k, v := range spec.Params {
 			merged[k] = v
 		}
-		w = &workloads.Workload{Name: w.Name, Desc: w.Desc, Kernel: w.Kernel, Params: merged, Gen: w.Gen}
+		p.params = merged
 	}
-	p.workload = w
-	p.cfg = cfg
-	p.kernel = kernel
 
 	// The content address covers everything that determines the result
 	// bytes: scale and workload name pin the deterministically generated
@@ -214,11 +220,48 @@ func (p *plan) planRun(spec *JobSpec) error {
 		p.scale.String(),
 		cfg.Name,
 		strconv.Itoa(spec.Threads),
-		w.Name,
-		ir.Format(kernel),
-		formatParams(w.Params),
+		p.workload,
+		p.text,
+		formatParams(p.params),
 	)
 	return nil
+}
+
+// template is the planning view of one (workload, scale) pair: the kernel,
+// its parameters and its formatted text, shared read-only by every plan
+// of that pair. It deliberately keeps no Workload — the Gen closure holds
+// the generated input arrays (paper-scale graphs included), and inputs
+// are built fresh per execution anyway.
+type template struct {
+	kernel *ir.Kernel
+	params map[string]float64
+	text   string
+}
+
+type templateKey struct {
+	name  string
+	scale workloads.Scale
+}
+
+// templates caches one template per (workload, scale) pair, filled on the
+// first plan of that pair. Keys are validated workload names, so the table
+// is bounded by names × scales. An entry is a pure function of its key, so
+// every Server in the process can share it.
+var templates sync.Map // templateKey → *template
+
+// lookupTemplate returns the shared template for (name, scale), building
+// the workload once to fill it.
+func lookupTemplate(name string, scale workloads.Scale) (*template, error) {
+	key := templateKey{name, scale}
+	if t, ok := templates.Load(key); ok {
+		return t.(*template), nil
+	}
+	w, err := cliutil.LookupWorkload(name, scale)
+	if err != nil {
+		return nil, err
+	}
+	t, _ := templates.LoadOrStore(key, &template{kernel: w.Kernel, params: w.Params, text: ir.Format(w.Kernel)})
+	return t.(*template), nil
 }
 
 func (p *plan) planMatrix(spec *JobSpec) error {

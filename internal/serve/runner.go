@@ -55,8 +55,17 @@ func (r *runner) run(ctx context.Context, p *plan, prog *profile.Progress, spans
 
 // runOne replicates distda-run: strip-mine for threads, compile through
 // the shared content-addressed cache, simulate, render with FprintResult.
+//
+// The inputs come from a freshly constructed workload, never from a shared
+// one: most generators draw from an RNG captured at construction, so only
+// the first NewData of a new Workload equals what a fresh distda-run
+// process simulates.
 func (r *runner) runOne(ctx context.Context, p *plan, prog *profile.Progress, spans *obs.SpanList) ([]byte, error) {
 	prog.SetTotal(1)
+	w, err := cliutil.LookupWorkload(p.workload, p.scale)
+	if err != nil {
+		return nil, err
+	}
 	cfg := p.cfg
 	cfg.EngineMode = p.mode
 	cfg.Threads = p.spec.Threads
@@ -66,8 +75,7 @@ func (r *runner) runOne(ctx context.Context, p *plan, prog *profile.Progress, sp
 	if cfg.HasAccel() {
 		h := spans.Open("compile")
 		copts := sim.CompileOptions(cfg)
-		key := artifact.Key(p.workload.Name, p.scale.String(), kernel, copts)
-		var err error
+		key := artifact.Key(p.workload, p.scale.String(), kernel, copts)
 		compiled, err = r.cache.GetOrCompile(key, kernel, func() (*compiler.Compiled, error) {
 			return compiler.Compile(kernel, copts)
 		})
@@ -78,12 +86,12 @@ func (r *runner) runOne(ctx context.Context, p *plan, prog *profile.Progress, sp
 	}
 	start := time.Now()
 	h := spans.Open("simulate")
-	res, err := sim.RunPrecompiled(kernel, p.workload.Params, p.workload.NewData(), cfg, compiled)
+	res, err := sim.RunPrecompiled(kernel, p.params, w.NewData(), cfg, compiled)
 	spans.Close(h)
 	if err != nil {
 		return nil, err
 	}
-	prog.Record(profile.CellStatus{Workload: p.workload.Name, Config: cfg.Name, Dur: time.Since(start)})
+	prog.Record(profile.CellStatus{Workload: p.workload, Config: cfg.Name, Dur: time.Since(start)})
 	h = spans.Open("rendering")
 	var buf bytes.Buffer
 	cliutil.FprintResult(&buf, res)

@@ -62,32 +62,47 @@ type Workload struct {
 	Gen    func() map[string][]float64
 }
 
-// NewData generates a fresh input set.
+// NewData draws the next input set from the workload's generator. Most
+// generators draw from an RNG captured when the Workload is constructed,
+// so successive calls on one Workload return successive, different draws;
+// construct a new Workload to reproduce the first draw.
 func (w *Workload) NewData() map[string][]float64 { return w.Gen() }
+
+// paper lists the twelve paper benchmarks in Table VI order, each by its
+// short name, so ByName constructs only the workload it is asked for.
+var paper = []struct {
+	name string
+	mk   func(Scale) *Workload
+}{
+	{"disparity", Disparity},
+	{"tracking", Tracking},
+	{"adi", ADI},
+	{"fdtd-2d", FDTD2D},
+	{"cholesky", Cholesky},
+	{"seidel-2d", Seidel2D},
+	{"pathfinder", Pathfinder},
+	{"nw", NW},
+	{"bfs", BFS},
+	{"pagerank", Pagerank},
+	{"pointer-chase", PointerChase},
+	{"pca", PCA},
+}
 
 // All returns the twelve paper benchmarks in Table VI order.
 func All(s Scale) []*Workload {
-	return []*Workload{
-		Disparity(s),
-		Tracking(s),
-		ADI(s),
-		FDTD2D(s),
-		Cholesky(s),
-		Seidel2D(s),
-		Pathfinder(s),
-		NW(s),
-		BFS(s),
-		Pagerank(s),
-		PointerChase(s),
-		PCA(s),
+	out := make([]*Workload, len(paper))
+	for i, p := range paper {
+		out[i] = p.mk(s)
 	}
+	return out
 }
 
-// ByName returns one paper workload by short name (Table VI mnemonics).
+// ByName returns one paper workload by short name (Table VI mnemonics),
+// constructing only that workload.
 func ByName(name string, s Scale) (*Workload, error) {
-	for _, w := range All(s) {
-		if w.Name == name {
-			return w, nil
+	for _, p := range paper {
+		if p.name == name {
+			return p.mk(s), nil
 		}
 	}
 	return nil, fmt.Errorf("workloads: unknown workload %q", name)

@@ -1,6 +1,7 @@
 package workloads
 
 import (
+	"reflect"
 	"testing"
 
 	"distda/internal/compiler"
@@ -173,5 +174,37 @@ func TestPointerChaseIsPermutation(t *testing.T) {
 			t.Fatal("next is not a permutation")
 		}
 		seen[i] = true
+	}
+}
+
+// TestByNameMatchesAll pins ByName's constructor table against All: each
+// entry's name is the name its constructor gives, and for every scale
+// ByName(w.Name) builds the same kernel, parameters and first input draw
+// as the matching entry of All.
+func TestByNameMatchesAll(t *testing.T) {
+	for _, p := range paper {
+		if got := p.mk(ScaleTest).Name; got != p.name {
+			t.Errorf("table entry %q constructs %q", p.name, got)
+		}
+	}
+	for _, s := range []Scale{ScaleTest, ScaleBench, ScalePaper} {
+		for _, w := range All(s) {
+			got, err := ByName(w.Name, s)
+			if err != nil {
+				t.Fatalf("%s/%s: %v", s, w.Name, err)
+			}
+			if got.Name != w.Name {
+				t.Fatalf("%s: ByName(%q) built %q", s, w.Name, got.Name)
+			}
+			if ir.Format(got.Kernel) != ir.Format(w.Kernel) {
+				t.Errorf("%s/%s: kernels differ", s, w.Name)
+			}
+			if !reflect.DeepEqual(got.Params, w.Params) {
+				t.Errorf("%s/%s: params %v, want %v", s, w.Name, got.Params, w.Params)
+			}
+			if !reflect.DeepEqual(got.NewData(), w.NewData()) {
+				t.Errorf("%s/%s: first input draws differ", s, w.Name)
+			}
+		}
 	}
 }
